@@ -1,75 +1,34 @@
-"""Merging Space Saving sketches (paper section 5.5, Theorem 2).
+"""Merging sketches (paper section 5.5, Theorem 2).
 
 Theorem 2: any reduction whose post-reduction expected estimates equal
 the pre-reduction estimates keeps the sketch unbiased. A merge is an
-exact union of per-item estimates (sums by item) followed by such an
-unbiased reduction back to ``m`` bins. We implement two unbiased
-reductions:
-
-* ``priority`` — priority sampling over the combined estimates with
-  HT-adjusted counts ``max(c_i, tau)`` (the paper's suggested swap-in
-  for the pairwise randomization);
-* ``pps`` — exact fixed-size PPS via the Deville-Tille splitting
-  (pivotal) method with HT adjustment ``c_i / pi_i``.
-
-Both preserve ``E[estimate]`` per item; ``pps`` additionally keeps the
-total exactly (HT adjustment under fixed-size PPS with
-``pi = min(1, alpha c)`` conserves the grand total only in expectation —
-see tests).
-
-The biased Misra-Gries merge (Agarwal et al. 2013) is provided for
-comparison: it soft-thresholds the combined counts by the (m+1)-th
-largest, preserving the deterministic error bound but biasing sums
-downward (paper Figure 1 discussion).
+exact union of per-item estimates (sums by item) followed by one such
+reduction back to ``m`` bins — priority sampling with HT-adjusted
+counts ``max(c_i, tau)``, the paper's suggested swap-in for the pairwise
+randomization, merged as in Agarwal et al. (2013), "Mergeable
+Summaries". Both steps are the spill-reduce core of
+:mod:`repro.core.weighted`; :func:`reduce_counts` is re-exported here.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from repro.core.result import CountSketchResult
 from repro.core.space_saving import SpaceSaving
-from repro.sampling.pps import splitting_pps_sample
-from repro.sampling.priority import priority_sample
+from repro.core.weighted import WeightedUnbiasedSpaceSaving, reduce_counts
+
+__all__ = ["merge_unbiased", "reduce_counts"]
 
 
-def _combined(counts_maps: Iterable[Mapping]) -> tuple[np.ndarray, np.ndarray]:
-    acc: dict = defaultdict(float)
-    for cm in counts_maps:
-        for x, c in cm.items():
-            acc[x] += c
-    items = np.asarray(list(acc.keys()))
-    counts = np.asarray(list(acc.values()), dtype=np.float64)
-    return items, counts
-
-
-def reduce_counts(
-    items: np.ndarray,
-    counts: np.ndarray,
-    m: int,
-    rng: np.random.Generator,
-    *,
-    method: str = "priority",
-) -> CountSketchResult:
-    """Unbiasedly reduce (item, count) pairs to at most ``m`` bins."""
-    items = np.asarray(items)
-    counts = np.asarray(counts, dtype=np.float64)
-    total = float(counts.sum())
-    if len(items) <= m:
-        return CountSketchResult(items, counts.copy(), 0.0, total)
-    if method == "priority":
-        ps = priority_sample(items, counts, m, rng)
-        return CountSketchResult(ps.items, ps.estimates, ps.tau, total)
-    if method == "pps":
-        mask, pi = splitting_pps_sample(counts, m, rng)
-        est = counts[mask] / pi[mask]
-        # threshold analogue: the HT-adjusted size of a barely-included item
-        free = pi < 1.0
-        thr = float(np.max(counts[free] / pi[free])) if free.any() else 0.0
-        return CountSketchResult(items[mask], est, thr, total)
-    raise ValueError(f"unknown reduction method {method!r}")
+def _as_result(sketch) -> CountSketchResult:
+    if isinstance(sketch, CountSketchResult):
+        return sketch
+    if isinstance(sketch, SpaceSaving):
+        return sketch.result()
+    est = np.fromiter(sketch.values(), np.float64, len(sketch))
+    return CountSketchResult(np.asarray(list(sketch)), est, 0.0, float(est.sum()))
 
 
 def merge_unbiased(
@@ -77,39 +36,16 @@ def merge_unbiased(
     m: int,
     *,
     rng: np.random.Generator | None = None,
-    method: str = "priority",
 ) -> CountSketchResult:
     """Merge sketches into one unbiased ``m``-bin summary (Theorem 2).
 
-    Accepts :class:`SpaceSaving` sketches, prior merge results, or raw
-    ``item -> count`` mappings; estimates are summed exactly by item and
-    then reduced.
+    Accepts Space Saving sketches, prior results, or raw
+    ``item -> count`` mappings. All inputs are unioned exactly by item in
+    one batch and then reduced once. The result's ``t`` is the sum of
+    the inputs' totals, and its ``threshold`` the largest of the final
+    reduction's and the inputs' own (``N_min`` for a Space Saving
+    sketch), so the eq.-5 variance covers every reduction level.
     """
-    rng = rng if rng is not None else np.random.default_rng()
-    maps = []
-    for s in sketches:
-        if isinstance(s, SpaceSaving):
-            maps.append(s.estimates())
-        elif isinstance(s, CountSketchResult):
-            maps.append(s.estimates_dict())
-        else:
-            maps.append(s)
-    items, counts = _combined(maps)
-    return reduce_counts(items, counts, m, rng, method=method)
-
-
-def merge_misra_gries(
-    counts_maps: Iterable[Mapping], m: int
-) -> dict:
-    """Biased Misra-Gries merge (Agarwal et al. 2013).
-
-    Sums counters by item, then soft-thresholds by the (m+1)-th largest
-    combined counter so at most ``m`` non-zero counters remain. Each
-    merged counter is an underestimate by at most ``n_tot / m``.
-    """
-    items, counts = _combined(counts_maps)
-    if len(items) <= m:
-        return dict(zip(items.tolist(), counts.tolist()))
-    thr = float(np.partition(counts, -(m + 1))[-(m + 1)])
-    keep = counts > thr
-    return dict(zip(items[keep].tolist(), (counts[keep] - thr).tolist()))
+    core = WeightedUnbiasedSpaceSaving(m, seed=rng)
+    core.absorb(_as_result(s) for s in sketches)
+    return core.result()

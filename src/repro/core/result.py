@@ -10,11 +10,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 import pandas as pd
 
-from repro.core.space_saving import _z_value, subset_sum_variance
+
+def member_mask(items: np.ndarray, member) -> np.ndarray:
+    """Boolean mask of ``items`` in ``member`` (a collection or a predicate)."""
+    if not callable(member):
+        if not isinstance(member, (set, frozenset)):
+            member = set(member)
+        member = member.__contains__
+    return np.fromiter(map(member, items.tolist()), bool, len(items))
+
+
+def subset_sum_variance(n_min: float, c_s: int) -> float:
+    """Equation 5 of the paper: ``Var_hat(N_S) = N_min**2 * max(C_S, 1)``."""
+    return float(n_min) ** 2 * max(c_s, 1)
+
+
+def _z_value(level: float) -> float:
+    """Two-sided Normal quantile for a confidence ``level`` in (0, 1)."""
+    if not 0 < level < 1:
+        raise ValueError(f"level must be in (0,1), got {level}")
+    return NormalDist().inv_cdf((1 + level) / 2)
 
 
 @dataclass(frozen=True)
@@ -25,8 +45,9 @@ class CountSketchResult:
     ----------
     items: item identifiers (<= m of them)
     estimates: unbiased count estimates per item
-    threshold: reduction threshold (0 when no reduction happened);
-        the ``N_min``-analogue used for variance estimation
+    threshold: largest reduction threshold behind the estimates (0 when
+        no reduction happened); the ``N_min``-analogue used for variance
+        estimation
     t: total mass the sketch summarizes (sum of pre-reduction counts)
     """
 
@@ -58,19 +79,9 @@ class CountSketchResult:
         """Two-column frame ``[item, estimate]``."""
         return pd.DataFrame({"item": self.items, "estimate": self.estimates})
 
-    def _member_mask(self, member) -> np.ndarray:
-        if callable(member):
-            return np.fromiter(
-                (member(x) for x in self.items), dtype=bool, count=len(self.items)
-            )
-        s = set(member)
-        return np.fromiter(
-            (x in s for x in self.items), dtype=bool, count=len(self.items)
-        )
-
     def subset_sum(self, member) -> tuple[float, int]:
         """``(N_hat_S, C_S)`` — estimate and number of sketch items in S."""
-        mask = self._member_mask(member)
+        mask = member_mask(self.items, member)
         return float(self.estimates[mask].sum()), int(mask.sum())
 
     def subset_sum_ci(

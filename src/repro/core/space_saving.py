@@ -18,12 +18,13 @@ Queries:
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 import pandas as pd
 
 from repro.core.kernel import SpaceSavingKernel
+from repro.core.result import CountSketchResult, _z_value, subset_sum_variance
 
 
 class SpaceSaving:
@@ -98,6 +99,16 @@ class SpaceSaving:
             {"item": list(est.keys()), "estimate": list(est.values())}
         )
 
+    def result(self) -> CountSketchResult:
+        """Snapshot as a :class:`CountSketchResult`; its threshold is ``N_min``."""
+        est = self._k.estimates()
+        return CountSketchResult(
+            np.asarray(list(est)),
+            np.fromiter(est.values(), np.float64, len(est)),
+            float(self.n_min),
+            float(self.t),
+        )
+
     def frequent_items(self, k: int | None = None) -> list[tuple[Hashable, int]]:
         """Top-``k`` (item, estimate) pairs by estimated count.
 
@@ -157,30 +168,6 @@ class SpaceSaving:
         return est, var, est - z * sd, est + z * sd
 
 
-def subset_sum_variance(n_min: int, c_s: int) -> float:
-    """Equation 5 of the paper: ``Var_hat(N_S) = N_min**2 * max(C_S, 1)``."""
-    return float(n_min) ** 2 * max(c_s, 1)
-
-
-def _z_value(level: float) -> float:
-    """Two-sided Normal quantile via inverse erf (no scipy dependency)."""
-    if not 0 < level < 1:
-        raise ValueError(f"level must be in (0,1), got {level}")
-    # Newton solve of erf(z/sqrt(2)) = level on the scalar; cheap & exact
-    # enough (erf available in math).
-    target = level
-    z = 1.0
-    for _ in range(60):
-        f = math.erf(z / math.sqrt(2)) - target
-        fp = math.sqrt(2 / math.pi) * math.exp(-z * z / 2)
-        z_new = z - f / fp
-        if abs(z_new - z) < 1e-12:
-            z = z_new
-            break
-        z = z_new
-    return z
-
-
 class UnbiasedSpaceSaving(SpaceSaving):
     """The paper's contribution: unbiased per-item count estimates."""
 
@@ -192,11 +179,3 @@ class DeterministicSpaceSaving(SpaceSaving):
     deterministic guarantee ``|N_hat_i - n_i| <= n_tot / m``."""
 
     unbiased = False
-
-
-def sketch_arrays(sketch: SpaceSaving) -> tuple[np.ndarray, np.ndarray]:
-    """(items, counts) arrays for vectorized post-processing."""
-    est = sketch.estimates()
-    return np.asarray(list(est.keys())), np.asarray(
-        list(est.values()), dtype=np.int64
-    )

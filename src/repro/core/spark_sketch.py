@@ -9,12 +9,12 @@ subset-sum and frequent-item queries.
 Two per-partition strategies are provided:
 
 * :func:`sketch_dataframe` (default, production path) — within each
-  partition, Arrow batches are *exactly* aggregated into an item->count
-  map which is unbiasedly reduced (priority/PPS sampling, sec 5.3
-  multi-bin generalization) whenever it exceeds a spill cap. Exact
-  partial aggregation + unbiased reduction is itself an unbiased
-  reduction operation, and it vectorizes, unlike the row-at-a-time
-  update.
+  partition, Arrow batches are *exactly* aggregated by item and fed to
+  the spill-reduce core (:mod:`repro.core.weighted`), which reduces by
+  priority sampling (sec 5.3 multi-bin generalization) whenever its
+  exact map exceeds a spill cap. Exact partial aggregation + unbiased
+  reduction is itself an unbiased reduction operation, and it
+  vectorizes, unlike the row-at-a-time update.
 * :func:`sketch_dataframe_streamwise` — runs the literal Algorithm 1
   kernel over each partition's rows in order; used to validate that the
   production path matches the paper's process distributionally.
@@ -34,24 +34,14 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.kernel import SpaceSavingKernel
-from repro.core.merge import reduce_counts
+from repro.core.merge import merge_unbiased
 from repro.core.result import CountSketchResult
+from repro.core.space_saving import UnbiasedSpaceSaving
+from repro.core.weighted import WeightedUnbiasedSpaceSaving
 
 _NUMERIC = (
     T.ByteType, T.ShortType, T.IntegerType, T.LongType,
 )
-
-
-def _item_spark_type(df: DataFrame, item_col: str) -> tuple[str, type]:
-    dt = df.schema[item_col].dataType
-    if isinstance(dt, _NUMERIC):
-        return "long", np.int64
-    if isinstance(dt, T.StringType):
-        return "string", object
-    raise TypeError(
-        f"item column {item_col!r} must be integral or string, got {dt}"
-    )
 
 
 def _partition_id() -> int:
@@ -63,6 +53,37 @@ def _partition_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, _partition_id()]))
 
 
+def _part_frame(res: CountSketchResult) -> pd.DataFrame:
+    """One partition's shipped sketch, in the schema of ``_schema``."""
+    return pd.DataFrame(
+        {
+            "item": res.items.tolist(),
+            "estimate": res.estimates,
+            "threshold": res.threshold,
+            "part_t": res.t,
+            "pid": _partition_id(),
+            "bad": 0,
+        }
+    )
+
+
+def _schema(df: DataFrame, item_col: str) -> str:
+    """Shipped-sketch schema: ``bad`` counts NaN or negative weights."""
+    dt = df.schema[item_col].dataType
+    if isinstance(dt, _NUMERIC):
+        item_type = "long"
+    elif isinstance(dt, T.StringType):
+        item_type = "string"
+    else:
+        raise TypeError(
+            f"item column {item_col!r} must be integral or string, got {dt}"
+        )
+    return (
+        f"item {item_type}, estimate double, threshold double, "
+        "part_t double, pid int, bad long"
+    )
+
+
 def sketch_dataframe(
     df: DataFrame,
     item_col: str,
@@ -70,70 +91,49 @@ def sketch_dataframe(
     *,
     weight_col: str | None = None,
     seed: int = 0,
-    partition_bins: int | None = None,
-    spill_factor: int = 8,
-    method: str = "priority",
 ) -> CountSketchResult:
     """Build an m-bin unbiased count sketch of ``df`` grouped by ``item_col``.
 
     ``weight_col`` generalizes row counting to arbitrary non-negative
-    per-row metrics (sec 5.3). ``partition_bins`` (default ``m``) bounds
-    each partition's shipped sketch; ``spill_factor * partition_bins``
-    bounds the in-memory exact map between reductions.
+    per-row metrics (sec 5.3); a NULL weight counts as 0, and a NaN or
+    negative one makes the call raise ``ValueError``. Each partition
+    feeds its Arrow batches, exactly aggregated by item, to the
+    spill-reduce core (:class:`WeightedUnbiasedSpaceSaving`), so it
+    ships at most ``m`` bins. Rows with a NULL item are not counted.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    pb = partition_bins or m
-    cap = max(spill_factor * pb, pb + 1)
-    item_sql_type, _ = _item_spark_type(df, item_col)
-
+    schema = _schema(df, item_col)
     cols = [F.col(item_col).alias("item")]
     if weight_col is not None:
-        cols.append(F.col(weight_col).cast("double").alias("w"))
+        cols.append(
+            F.coalesce(F.col(weight_col).cast("double"), F.lit(0.0)).alias("w")
+        )
     projected = df.select(*cols)
-    schema = (
-        f"item {item_sql_type}, estimate double, threshold double, part_t double, pid int"
-    )
 
     def build_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rng = _partition_seed(seed)
-        acc: dict = {}
-
-        def spill(target: int) -> float:
-            items = np.asarray(list(acc.keys()))
-            vals = np.asarray(list(acc.values()), dtype=np.float64)
-            red = reduce_counts(items, vals, target, rng, method=method)
-            acc.clear()
-            acc.update(zip(red.items.tolist(), red.estimates.tolist()))
-            return red.threshold
-
-        threshold = 0.0
-        t_part = 0.0
+        core = WeightedUnbiasedSpaceSaving(m, seed=_partition_seed(seed))
+        bad = 0
         for pdf in batches:
             if weight_col is None:
                 agg = pdf["item"].value_counts()
             else:
+                # counted here, raised on the driver: see _merge_parts
+                bad += int((~(pdf["w"] >= 0)).sum())
+                if bad:
+                    continue
                 agg = pdf.groupby("item", sort=False)["w"].sum()
-            t_part += float(agg.to_numpy().sum())
-            get = acc.get
-            for x, c in zip(agg.index.tolist(), agg.to_numpy().tolist()):
-                acc[x] = get(x, 0.0) + c
-            if len(acc) > cap:
-                threshold = max(threshold, spill(pb))
-        if len(acc) > pb:
-            threshold = max(threshold, spill(pb))
-        yield pd.DataFrame(
-            {
-                "item": list(acc.keys()),
-                "estimate": list(acc.values()),
-                "threshold": threshold,
-                "part_t": t_part,
-                "pid": _partition_id(),
-            }
-        )
+            core.update_many(agg.index.tolist(), agg.to_numpy())
+        if bad:  # one row with no item carries the count
+            yield pd.DataFrame(
+                {"item": [None], "estimate": 0.0, "threshold": 0.0,
+                 "part_t": 0.0, "pid": _partition_id(), "bad": bad}
+            )
+        else:
+            yield _part_frame(core.result())
 
     parts = projected.mapInPandas(build_partition, schema=schema).toPandas()
-    return _final_merge(parts, m, seed, method)
+    return _merge_parts(parts, m, seed, weight_col)
 
 
 def sketch_dataframe_streamwise(
@@ -142,61 +142,48 @@ def sketch_dataframe_streamwise(
     m: int,
     *,
     seed: int = 0,
-    partition_bins: int | None = None,
-    method: str = "priority",
 ) -> CountSketchResult:
     """Literal Algorithm 1 per partition, then the unbiased merge."""
-    pb = partition_bins or m
-    item_sql_type, _ = _item_spark_type(df, item_col)
-    schema = (
-        f"item {item_sql_type}, estimate double, threshold double, part_t double, pid int"
-    )
+    schema = _schema(df, item_col)
 
     def build_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         rng = _partition_seed(seed)
-        kern = SpaceSavingKernel(
-            pb, unbiased=True, seed=int(rng.integers(2**63))
-        )
+        sk = UnbiasedSpaceSaving(m, seed=int(rng.integers(2**63)))
         for pdf in batches:
-            kern.update_many(pdf["item"].tolist())
-        est = kern.estimates()
-        yield pd.DataFrame(
-            {
-                "item": list(est.keys()),
-                "estimate": [float(c) for c in est.values()],
-                "threshold": float(kern.n_min),
-                "part_t": float(kern.t),
-                "pid": _partition_id(),
-            }
-        )
+            sk.update_many(pdf["item"].tolist())
+        yield _part_frame(sk.result())
 
     parts = df.select(F.col(item_col).alias("item")).mapInPandas(
         build_partition, schema=schema
     ).toPandas()
-    return _final_merge(parts, m, seed, method)
+    return _merge_parts(parts, m, seed, None)
 
 
-def _final_merge(
-    parts: pd.DataFrame, m: int, seed: int, method: str
+def _merge_parts(
+    parts: pd.DataFrame, m: int, seed: int, weight_col: str | None
 ) -> CountSketchResult:
-    """Exact by-item union of partition sketches + unbiased reduction.
+    """Unbiased merge of the shipped partition sketches (Theorem 2).
 
-    The reported ``threshold`` is the max of the final reduction
-    threshold and every partition threshold — a conservative
-    ``N_min``-analogue for the eq. 5 variance estimator.
+    Raises the ``ValueError`` for NaN or negative weights that the
+    partitions counted instead of sketching.
     """
-    if parts.empty:
-        return CountSketchResult(
-            np.asarray([]), np.asarray([], dtype=np.float64), 0.0, 0.0
+    bad = int(parts["bad"].sum())
+    if bad:
+        raise ValueError(
+            f"weight_col {weight_col!r} has {bad} NaN or negative values; "
+            "weights must be >= 0 (NULL counts as 0)"
         )
-    total = float(parts.groupby("pid")["part_t"].first().sum())
-    merged = parts.groupby("item", sort=False)["estimate"].sum()
+    shards = [
+        CountSketchResult(
+            g["item"].to_numpy(),
+            g["estimate"].to_numpy(),
+            float(g["threshold"].iat[0]),
+            float(g["part_t"].iat[0]),
+        )
+        for _, g in parts.groupby("pid", sort=False)
+    ]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1 << 20]))
-    red = reduce_counts(
-        merged.index.to_numpy(), merged.to_numpy(), m, rng, method=method
-    )
-    thr = max(red.threshold, float(parts["threshold"].max()))
-    return CountSketchResult(red.items, red.estimates, thr, total)
+    return merge_unbiased(shards, m, rng=rng)
 
 
 def exact_counts(

@@ -3,34 +3,21 @@
 * eq. (5): ``Var_hat(N_hat_S) = N_min**2 * C_S`` with ``C_S`` the
   number of sketch items in S (floored at 1) — an *upward-biased*
   estimate valid even for pathological non-i.i.d. streams;
-* Normal confidence intervals ``N_hat_S +/- z * sqrt(Var_hat)``;
 * the Poisson-PPS reference variance of eq. (1) used in Figure 9's
   comparison, computed from true counts.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.core.space_saving import _z_value, subset_sum_variance
+from repro.core.result import subset_sum_variance
 from repro.sampling.pps import thresholded_pps_probs
 
 __all__ = [
     "subset_sum_variance",
-    "normal_ci",
     "coverage",
     "pps_reference_variance",
 ]
-
-
-def normal_ci(
-    estimate: float, variance: float, *, level: float = 0.95
-) -> tuple[float, float]:
-    """Two-sided Normal interval ``estimate +/- z * sd``."""
-    z = _z_value(level)
-    sd = math.sqrt(max(variance, 0.0))
-    return estimate - z * sd, estimate + z * sd
 
 
 def coverage(

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.result import member_mask
+
 
 @dataclass(frozen=True)
 class BottomKSample:
@@ -30,15 +32,7 @@ class BottomKSample:
 
     def subset_sum(self, member) -> float:
         """Estimate of ``sum_{i in S} n_i`` via the tau-adjusted HT form."""
-        if callable(member):
-            mask = np.fromiter(
-                (member(x) for x in self.items), dtype=bool, count=len(self.items)
-            )
-        else:
-            s = set(member)
-            mask = np.fromiter(
-                (x in s for x in self.items), dtype=bool, count=len(self.items)
-            )
+        mask = member_mask(self.items, member)
         if self.tau <= 0:  # nothing was excluded: the sample is exact
             return float(self.counts[mask].sum())
         return float(self.counts[mask].sum() / self.tau)

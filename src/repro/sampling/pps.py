@@ -5,12 +5,10 @@ Provides:
 * :func:`thresholded_pps_probs` — inclusion probabilities
   ``pi_i = min(1, alpha * x_i)`` with ``sum(pi) == k`` (the standard
   fixed-expected-size PPS design the paper references);
-* :func:`poisson_pps_sample` — independent Bernoulli(pi_i) sampling;
 * :func:`splitting_pps_sample` — a fixed-size design with *exact*
   marginal inclusion probabilities ``pi``, implemented with the pivotal
   method, a member of the Deville-Tille (1998) splitting family the
-  paper cites for the merge operation;
-* :func:`horvitz_thompson` — the unbiased HT estimator of a total.
+  paper cites for the merge operation.
 """
 from __future__ import annotations
 
@@ -53,17 +51,6 @@ def thresholded_pps_probs(weights: np.ndarray, k: int) -> np.ndarray:
     return np.clip(pi, 0.0, 1.0)
 
 
-def poisson_pps_sample(
-    weights: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Independent Bernoulli(pi_i) sample; returns ``(mask, pi)``.
-
-    Sample size is ``k`` in expectation only.
-    """
-    pi = thresholded_pps_probs(weights, k)
-    return rng.random(len(pi)) < pi, pi
-
-
 def splitting_pps_sample(
     weights: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -104,25 +91,3 @@ def splitting_pps_sample(
     for i in frontier:
         p[i] = 1.0 if rng.random() < p[i] else 0.0
     return p > 0.5, pi
-
-
-def horvitz_thompson(
-    values: np.ndarray, pi: np.ndarray, mask: np.ndarray
-) -> float:
-    """Unbiased HT estimate ``sum_i values_i * Z_i / pi_i`` of the total."""
-    v = np.asarray(values, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    sel = np.asarray(mask, dtype=bool)
-    if np.any(pi[sel] <= 0):
-        raise ValueError("sampled unit with zero inclusion probability")
-    return float((v[sel] / pi[sel]).sum())
-
-
-def ht_adjusted_values(
-    values: np.ndarray, pi: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """Per-unit HT-adjusted values ``x_i / pi_i`` for the sampled units."""
-    v = np.asarray(values, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    sel = np.asarray(mask, dtype=bool)
-    return v[sel] / pi[sel]

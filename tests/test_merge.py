@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.merge import merge_misra_gries, merge_unbiased, reduce_counts
+from repro.core.merge import merge_unbiased, reduce_counts
 from repro.core.space_saving import UnbiasedSpaceSaving
 
 
@@ -47,6 +47,14 @@ class TestReduceCounts:
             reduce_counts(
                 np.arange(2), np.ones(2), 1, np.random.default_rng(0), method="x"
             )
+
+    def test_pps_conserves_total(self):
+        counts = np.asarray([1.0, 2, 3, 4, 5, 50, 7, 9])
+        for r in range(20):
+            res = reduce_counts(
+                np.arange(8), counts, 3, np.random.default_rng(r), method="pps"
+            )
+            assert res.estimates.sum() == pytest.approx(counts.sum())
 
     def test_t_preserved(self):
         g = np.random.default_rng(2)
@@ -101,31 +109,13 @@ class TestMergeUnbiased:
         assert len(res) <= 10
         assert res.threshold > 0
 
-
-class TestMergeMisraGries:
-    def test_size_bound_and_soft_threshold(self):
-        maps = [
-            {f"a{i}": float(i + 1) for i in range(8)},
-            {f"b{i}": float(i + 1) for i in range(8)},
+    def test_threshold_covers_shard_n_min(self):
+        """The merged eq.-5 threshold is never below a shard's own N_min."""
+        rng = random.Random(1)
+        shards = [
+            _sketch([rng.randrange(40) for _ in range(400)], 5, s) for s in range(4)
         ]
-        m = 5
-        merged = merge_misra_gries(maps, m)
-        assert len(merged) <= m
-        combined = {}
-        for mp in maps:
-            for k, v in mp.items():
-                combined[k] = combined.get(k, 0) + v
-        # each counter underestimates by exactly the (m+1)-th largest
-        thr = sorted(combined.values(), reverse=True)[m]
-        for k, v in merged.items():
-            assert v == combined[k] - thr
-
-    def test_exact_when_few(self):
-        merged = merge_misra_gries([{"a": 1.0}, {"b": 2.0}], 5)
-        assert merged == {"a": 1.0, "b": 2.0}
-
-    def test_biased_downward(self):
-        maps = [{f"x{i}": 2.0 for i in range(10)}]
-        merged = merge_misra_gries(maps, 4)
-        combined_total = 20.0
-        assert sum(merged.values()) < combined_total
+        res = merge_unbiased(shards, 50, rng=np.random.default_rng(0))
+        assert len(res) == len({x for s in shards for x in s.estimates()})
+        assert res.threshold >= max(s.n_min for s in shards) > 0
+        assert res.t == 1600.0

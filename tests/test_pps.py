@@ -1,14 +1,8 @@
-"""PPS machinery tests: thresholded probabilities, splitting, HT."""
+"""PPS machinery tests: thresholded probabilities, splitting."""
 import numpy as np
 import pytest
 
-from repro.sampling.pps import (
-    horvitz_thompson,
-    ht_adjusted_values,
-    poisson_pps_sample,
-    splitting_pps_sample,
-    thresholded_pps_probs,
-)
+from repro.sampling.pps import splitting_pps_sample, thresholded_pps_probs
 
 
 class TestThresholdedProbs:
@@ -90,32 +84,22 @@ class TestSplittingSample:
         tot = 0.0
         for _ in range(reps):
             mask, pi = splitting_pps_sample(w, k, rng)
-            tot += horvitz_thompson(w, pi, mask)
+            tot += (w[mask] / pi[mask]).sum()
         assert abs(tot / reps - w.sum()) < 0.05 * w.sum()
 
 
 class TestPoissonSample:
     def test_expected_size(self):
+        """Poisson sampling with ``thresholded_pps_probs`` has expected size k."""
         rng = np.random.default_rng(4)
-        w = np.asarray([1.0, 2, 3, 4, 5])
-        sizes = [poisson_pps_sample(w, 3, rng)[0].sum() for _ in range(3000)]
+        pi = thresholded_pps_probs(np.asarray([1.0, 2, 3, 4, 5]), 3)
+        sizes = [(rng.random(5) < pi).sum() for _ in range(3000)]
         assert abs(np.mean(sizes) - 3) < 0.1
 
 
 class TestHT:
     def test_exact_when_all_sampled(self):
         w = np.asarray([1.0, 2, 3])
-        pi = np.ones(3)
-        assert horvitz_thompson(w, pi, np.ones(3, dtype=bool)) == 6.0
-
-    def test_adjusted_values(self):
-        w = np.asarray([2.0, 4.0])
-        pi = np.asarray([0.5, 1.0])
-        adj = ht_adjusted_values(w, pi, np.asarray([True, True]))
-        assert np.allclose(adj, [4.0, 4.0])
-
-    def test_zero_pi_sampled_rejected(self):
-        with pytest.raises(ValueError):
-            horvitz_thompson(
-                np.asarray([1.0]), np.asarray([0.0]), np.asarray([True])
-            )
+        mask, pi = splitting_pps_sample(w, 3, np.random.default_rng(0))
+        assert mask.all() and (pi == 1).all()
+        assert (w[mask] / pi[mask]).sum() == 6.0

@@ -2,10 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.sampling.priority import (
-    inclusion_pseudo_probs,
-    priority_sample,
-)
+from repro.sampling.priority import PrioritySample, priority_sample
 
 
 def _weights(seed=0, n=60):
@@ -90,10 +87,19 @@ class TestUnbiasedness:
 
 
 class TestPseudoProbs:
+    """The variance plug-in uses pseudo-inclusion ``pi_i = min(1, n_i/tau)``."""
+
     def test_clip_at_one(self):
-        pi = inclusion_pseudo_probs(np.asarray([1.0, 10.0]), 5.0)
-        assert np.allclose(pi, [0.2, 1.0])
+        ps = PrioritySample(
+            np.asarray([0, 1]), np.asarray([1.0, 10.0]), np.asarray([5.0, 10.0]), 5.0
+        )
+        # HT variance n^2 (1 - pi) / pi^2 with pi = 0.2; pi clipped to 1 gives 0
+        assert np.isclose(ps.subset_sum_variance({0}), 1.0 * 0.8 / 0.2**2)
+        assert ps.subset_sum_variance({1}) == 0.0
 
     def test_tau_zero_all_ones(self):
-        pi = inclusion_pseudo_probs(np.asarray([1.0, 2.0]), 0.0)
-        assert (pi == 1).all()
+        w = np.asarray([1.0, 2.0])
+        ps = priority_sample(np.arange(2), w, 5, np.random.default_rng(0))
+        assert ps.tau == 0.0
+        assert ps.subset_sum_variance({0, 1}) == 0.0
+        assert ps.subset_sum({0, 1}) == 3.0

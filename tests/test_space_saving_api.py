@@ -10,7 +10,6 @@ from repro.core.space_saving import (
     SpaceSaving,
     UnbiasedSpaceSaving,
     _z_value,
-    sketch_arrays,
     subset_sum_variance,
 )
 
@@ -72,8 +71,9 @@ class TestQueries:
         sk = UnbiasedSpaceSaving.from_stream(list("aabbbb"), 5, seed=0)
         pdf = sk.to_pandas()
         assert set(pdf.columns) == {"item", "estimate"}
-        items, counts = sketch_arrays(sk)
-        assert counts.sum() == 6
+        res = sk.result()
+        assert res.estimates.sum() == 6 and res.t == 6.0
+        assert res.threshold == sk.n_min
 
 
 class TestVarianceAndCI:

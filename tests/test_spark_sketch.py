@@ -57,7 +57,7 @@ class TestSketchDataFrame:
 
     def test_exact_when_m_large(self, spark, li, truth):
         m = len(truth) + 10
-        res = sketch_dataframe(li, "l_partkey", m, seed=2, spill_factor=10**6)
+        res = sketch_dataframe(li, "l_partkey", m, seed=2)
         est = res.estimates_dict()
         assert len(est) == len(truth)
         for item, n in truth.items():
@@ -97,11 +97,6 @@ class TestSketchDataFrame:
         b = sketch_dataframe(li, "l_partkey", 50, seed=7)
         assert a.estimates_dict() == b.estimates_dict()
 
-    def test_pps_method(self, spark, li, truth):
-        res = sketch_dataframe(li, "l_partkey", 100, seed=8, method="pps")
-        assert len(res) <= 100
-        assert res.t == truth.sum()
-
     def test_unbiased_over_seeds(self, spark, li, truth):
         """Mean estimate over sketch seeds approaches the true subset sum."""
         subset = set(range(1, 201))
@@ -113,6 +108,37 @@ class TestSketchDataFrame:
         ]
         se = np.std(ests, ddof=1) / np.sqrt(reps)
         assert abs(np.mean(ests) - true) < 5 * se + 0.05 * true
+
+
+class TestWeights:
+    @staticmethod
+    def _frame(spark, bad_weight):
+        """5000 distinct keys in 4 partitions; even keys get ``bad_weight``."""
+        return spark.range(0, 5000, 1, 4).select(
+            F.col("id").alias("k"),
+            F.when(F.col("id") % 2 == 0, F.lit(bad_weight).cast("double"))
+            .otherwise(F.col("id") % 7 + 0.5)
+            .alias("w"),
+        )
+
+    def test_null_weights_count_as_zero(self, spark):
+        """m=100 spills every partition while half its keys have no mass."""
+        df = self._frame(spark, None)
+        res = sketch_dataframe(df, "k", 100, weight_col="w", seed=0)
+        keys = np.arange(5000)
+        w = np.where(keys % 2 == 0, 0.0, keys % 7 + 0.5)
+        assert res.t == pytest.approx(w.sum())
+        assert 0 < len(res) <= 100
+        assert np.isfinite(res.estimates).all() and (res.estimates > 0).all()
+        assert not (res.items % 2 == 0).any()
+        est, var, lo, hi = res.subset_sum_ci(set(range(2500)))
+        assert abs(est - w[:2500].sum()) < 6 * np.sqrt(var)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_nan_and_negative_weights_raise_on_driver(self, spark, bad):
+        df = self._frame(spark, bad)
+        with pytest.raises(ValueError, match="weight_col 'w' has 2500 NaN or negative"):
+            sketch_dataframe(df, "k", 100, weight_col="w", seed=0)
 
 
 class TestStreamwise:

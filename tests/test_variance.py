@@ -1,10 +1,10 @@
 """Variance estimator and confidence interval tests (sec 6.4-6.5)."""
 import numpy as np
 
+from repro.core.result import CountSketchResult
 from repro.core.space_saving import UnbiasedSpaceSaving
 from repro.core.variance import (
     coverage,
-    normal_ci,
     pps_reference_variance,
     subset_sum_variance,
 )
@@ -18,13 +18,18 @@ class TestFormulas:
         assert subset_sum_variance(7, 0) == 49  # C_S floored at 1
 
     def test_normal_ci_symmetric(self):
-        lo, hi = normal_ci(100.0, 25.0, level=0.95)
+        res = CountSketchResult(np.asarray([1]), np.asarray([100.0]), 5.0, 100.0)
+        est, var, lo, hi = res.subset_sum_ci({1}, level=0.95)
+        assert var == 25.0
         assert np.isclose(hi - 100.0, 100.0 - lo)
         assert np.isclose(hi - lo, 2 * 1.959964 * 5, atol=1e-3)
 
     def test_normal_ci_zero_variance(self):
-        lo, hi = normal_ci(10.0, 0.0)
-        assert lo == hi == 10.0
+        """A sketch that never dropped an item has N_min = 0: its CI is a point."""
+        uss = UnbiasedSpaceSaving(10, seed=0)
+        uss.update_many([1, 2, 2, 3, 3, 3])
+        est, var, lo, hi = uss.result().subset_sum_ci({2, 3})
+        assert var == 0.0 and lo == hi == est == 5.0
 
     def test_coverage(self):
         lows = np.asarray([0.0, 5.0, 11.0])

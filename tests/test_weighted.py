@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import repro.core.weighted as weighted
 from repro.core.weighted import WeightedUnbiasedSpaceSaving
 
 
@@ -14,6 +15,23 @@ class TestBasics:
         sk = WeightedUnbiasedSpaceSaving(3, seed=0)
         with pytest.raises(ValueError):
             sk.add("a", -1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5])
+    def test_nan_and_negative_weights_rejected(self, bad):
+        sk = WeightedUnbiasedSpaceSaving(20, seed=0)
+        sk.update_many(range(10), np.ones(10))
+        with pytest.raises(ValueError):
+            sk.add("x", bad)
+        with pytest.raises(ValueError):
+            sk.update_many(["a", "b"], [1.0, bad])
+        # a rejected batch leaves the sketch untouched
+        assert sk.t == 10.0 and sk.estimates() == {i: 1.0 for i in range(10)}
+
+    def test_zero_weight_items_dropped_at_reduction(self):
+        sk = WeightedUnbiasedSpaceSaving(2, seed=0)
+        sk.update_many(range(40), [0.0] * 38 + [1.0, 2.0])
+        assert sk.estimates() == {38: 1.0, 39: 2.0}
+        assert sk.result().threshold == 0.0
 
     def test_exact_when_under_capacity(self):
         sk = WeightedUnbiasedSpaceSaving(5, seed=0)
@@ -59,6 +77,39 @@ class TestUnbiasedness:
         means = acc / reps
         for i, w in weights.items():
             assert abs(means[i] - w) < 0.15 * w + 0.3, (i, means[i], w)
+
+    def test_monte_carlo_unbiased_spill_heavy(self, monkeypatch):
+        """m=2 over 60 distinct items: every stream reduces at least 3 times
+        mid-stream, zero-weight items included, and stays unbiased."""
+        w = np.concatenate([[20.0, 12.0, 8.0], np.linspace(0.5, 3.0, 50), np.zeros(7)])
+        rows = [(i, wi / 2) for i, wi in enumerate(w) for _ in range(2)]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return reduce_counts(*args, **kwargs)
+
+        reduce_counts = weighted.reduce_counts
+        monkeypatch.setattr(weighted, "reduce_counts", counting)
+        reps = 8000
+        est = np.zeros((reps, len(w)))
+        for r in range(reps):
+            rng = np.random.default_rng(r)
+            sk = WeightedUnbiasedSpaceSaving(2, seed=rng)
+            calls.clear()
+            for j in rng.permutation(len(rows)):
+                sk.add(*rows[j])
+            assert len(calls) >= 3
+            for x, e in sk.estimates().items():
+                est[r, x] = e
+        means = est.mean(axis=0)
+        se = est.std(axis=0, ddof=1) / np.sqrt(reps)
+        assert (np.abs(means - w) <= 4.5 * se).all()
+        assert (est[:, w == 0] == 0).all()
+        totals = est.sum(axis=1)
+        tot_se = totals.std(ddof=1) / np.sqrt(reps)
+        assert 4 * tot_se < 0.05 * w.sum()  # resolves a 5% bias
+        assert abs(totals.mean() - w.sum()) < 0.05 * w.sum()
 
     def test_total_unbiased(self):
         reps = 2000
